@@ -36,3 +36,20 @@ let () =
 (** Order of the correct sextic twist E'(Fq2) is [r * g2_cofactor] with
     [g2_cofactor = q - 1 + t]. *)
 let g2_cofactor = Bigint.add (Bigint.sub q Bigint.one) t
+
+(* Non-adjacent form, least significant digit first: digits in {−1, 0, 1}
+   with no two adjacent non-zeros, so Σ d_i 2^i = n. *)
+let naf n =
+  let rec go n acc =
+    if Bigint.is_zero n then Array.of_list (List.rev acc)
+    else if Bigint.is_even n then go (Bigint.shift_right n 1) (0 :: acc)
+    else begin
+      (* n mod 4 = 1 → digit 1, n mod 4 = 3 → digit −1 *)
+      let d = if Bigint.bit n 1 then -1 else 1 in
+      go (Bigint.shift_right (Bigint.sub n (Bigint.of_int d)) 1) (d :: acc)
+    end
+  in
+  go n []
+
+let x_naf = naf x
+let ate_loop_naf = naf (Bigint.add (Bigint.mul (Bigint.of_int 6) x) Bigint.two)

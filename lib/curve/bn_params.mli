@@ -18,3 +18,11 @@ val r : Bigint.t
 (** Cofactor of the order-[r] subgroup of the sextic twist:
     [#E'(Fq2) = r · (q − 1 + t)]. *)
 val g2_cofactor : Bigint.t
+
+(** Non-adjacent forms (least significant digit first, digits in
+    [{−1, 0, 1}], no two adjacent ones non-zero) of [x], for the hard
+    part's exponentiation by [x], and of [6x + 2], the optimal-ate
+    Miller-loop length. *)
+val x_naf : int array
+
+val ate_loop_naf : int array

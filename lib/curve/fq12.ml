@@ -26,11 +26,15 @@ let mul a b =
   let cross = Fq6.mul (Fq6.add a.c0 a.c1) (Fq6.add b.c0 b.c1) in
   make (Fq6.add m00 (Fq6.mul_by_v m11)) (Fq6.sub cross (Fq6.add m00 m11))
 
+(* Complex squaring: (a0 + a1 w)² = (a0 + a1)(a0 + a1 v) − t − t v + 2t w
+   with t = a0 a1, two Fq6 multiplications. *)
 let sqr a =
-  let m00 = Fq6.sqr a.c0 in
-  let m11 = Fq6.sqr a.c1 in
-  let cross = Fq6.sqr (Fq6.add a.c0 a.c1) in
-  make (Fq6.add m00 (Fq6.mul_by_v m11)) (Fq6.sub cross (Fq6.add m00 m11))
+  let t = Fq6.mul a.c0 a.c1 in
+  let c0 =
+    Fq6.sub (Fq6.mul (Fq6.add a.c0 a.c1) (Fq6.add a.c0 (Fq6.mul_by_v a.c1)))
+      (Fq6.add t (Fq6.mul_by_v t))
+  in
+  make c0 (Fq6.double t)
 
 let conj a = make a.c0 (Fq6.neg a.c1)
 
@@ -56,12 +60,58 @@ let of_twist_x x' = make (Fq6.make Fq2.zero x' Fq2.zero) Fq6.zero
 (** Embedding of an E'(Fq2) y-coordinate: y'·w³ = (0, y', 0)·w. *)
 let of_twist_y y' = make Fq6.zero (Fq6.make Fq2.zero y' Fq2.zero)
 
-(** Line function value λ·x_Q − y_Q + c with x_Q = x'w², y_Q = y'w³ and
-    λ, c ∈ Fq: a sparse Fq12 element assembled without full multiplications. *)
-let line_value ~lambda ~c ~xq ~yq =
-  let a = Fq6.make (Fq2.of_fq c) (Fq2.mul_by_fq lambda xq) Fq2.zero in
-  let b = Fq6.make Fq2.zero (Fq2.neg yq) Fq2.zero in
-  make a b
+(* f · (l0 + l3·w + l4·v·w), the shape of every Miller-loop line on the
+   D-type twist: 3 + 5 + 5 = 13 Fq2 multiplications instead of 18. *)
+let mul_by_034 f l0 l3 l4 =
+  let a = Fq6.mul_by_fq2 l0 f.c0 in
+  let b = Fq6.mul_by_01 f.c1 l3 l4 in
+  let e = Fq6.mul_by_01 (Fq6.add f.c0 f.c1) (Fq2.add l0 l3) l4 in
+  make (Fq6.add a (Fq6.mul_by_v b)) (Fq6.sub e (Fq6.add a b))
+
+(* w^(q^k) = w·ξ^((q^k − 1)/6). *)
+let frob_w = Fq2.frobenius_coeffs 6
+
+let frobenius_map k a =
+  let k = k mod 12 in
+  make (Fq6.frobenius_map k a.c0) (Fq6.mul_by_fq2 frob_w.(k) (Fq6.frobenius_map k a.c1))
+
+(* Granger–Scott squaring in the cyclotomic subgroup. Viewing Fq12 as
+   Fq4³ with Fq4 = Fq2[s]/(s² − ξ), the pairs (r0, r1), (r2, r3),
+   (r4, r5) below are the three Fq4 coordinates; each is squared with two
+   Fq2 multiplications and the result recombined with the norm-1 relation
+   instead of computing the cross terms. *)
+let cyclotomic_sqr a =
+  let fq4_sqr x y =
+    let t = Fq2.mul x y in
+    ( Fq2.sub (Fq2.mul (Fq2.add x y) (Fq2.add (Fq2.mul_by_xi y) x)) (Fq2.add t (Fq2.mul_by_xi t)),
+      Fq2.double t )
+  in
+  let r0 = a.c0.Fq6.c0 and r4 = a.c0.Fq6.c1 and r3 = a.c0.Fq6.c2 in
+  let r2 = a.c1.Fq6.c0 and r1 = a.c1.Fq6.c1 and r5 = a.c1.Fq6.c2 in
+  let t0, t1 = fq4_sqr r0 r1 in
+  let t2, t3 = fq4_sqr r2 r3 in
+  let t4, t5 = fq4_sqr r4 r5 in
+  (* 3t − 2r and 3t + 2r *)
+  let minus t r = Fq2.add (Fq2.double (Fq2.sub t r)) t in
+  let plus t r = Fq2.add (Fq2.double (Fq2.add t r)) t in
+  make
+    (Fq6.make (minus t0 r0) (minus t2 r4) (minus t4 r3))
+    (Fq6.make (plus (Fq2.mul_by_xi t5) r2) (plus t1 r1) (plus t3 r5))
+
+(* In the cyclotomic subgroup the inverse is the conjugate, so the NAF's
+   −1 digits cost one multiplication like the +1 digits. *)
+let cyclotomic_exp_by_x a =
+  let naf = Bn_params.x_naf in
+  let a_inv = conj a in
+  let acc = ref a in
+  for i = Array.length naf - 2 downto 0 do
+    acc := cyclotomic_sqr !acc;
+    match naf.(i) with
+    | 1 -> acc := mul !acc a
+    | -1 -> acc := mul !acc a_inv
+    | _ -> ()
+  done;
+  !acc
 
 let random st = make (Fq6.random st) (Fq6.random st)
 

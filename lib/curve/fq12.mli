@@ -25,9 +25,22 @@ val of_twist_x : Fq2.t -> t
 (** Embedding of an E'(Fq2) y-coordinate: [y'·w³]. *)
 val of_twist_y : Fq2.t -> t
 
-(** Sparse Miller-loop line value [λ·x_Q − y_Q + c] with λ, c ∈ Fq and
-    [x_Q = x'·w²], [y_Q = y'·w³]. *)
-val line_value : lambda:Zkvc_field.Fq.t -> c:Zkvc_field.Fq.t -> xq:Fq2.t -> yq:Fq2.t -> t
+(** [mul_by_034 f l0 l3 l4 = f · (l0 + l3·w + l4·v·w)]: the sparse
+    product with a Miller-loop line of the D-type twist. *)
+val mul_by_034 : t -> Fq2.t -> Fq2.t -> Fq2.t -> t
+
+(** [frobenius_map k x = x^(q^k)] for [k ≥ 0], with constants
+    [ξ^((q^k − 1)/6)] from {!Fq2.frobenius_coeffs}. *)
+val frobenius_map : int -> t -> t
+
+(** Granger–Scott squaring. Equals {!sqr} only on the cyclotomic subgroup
+    (elements of norm 1 over Fq6 and Fq2, i.e. images of the easy part of
+    the final exponentiation). *)
+val cyclotomic_sqr : t -> t
+
+(** [x^u] for the BN parameter [u = Bn_params.x], by cyclotomic squarings
+    over the NAF of [u]. Cyclotomic-subgroup inputs only. *)
+val cyclotomic_exp_by_x : t -> t
 
 val random : Random.State.t -> t
 

@@ -34,7 +34,15 @@ let sqr a =
 
 let mul_by_fq k a = make (Fq.mul k a.c0) (Fq.mul k a.c1)
 
+(* (a0 + a1 u)(9 + u) = (9a0 − a1) + (a0 + 9a1) u, with additions only. *)
+let mul_by_xi a =
+  let nine c = Fq.add (Fq.double (Fq.double (Fq.double c))) c in
+  make (Fq.sub (nine a.c0) a.c1) (Fq.add a.c0 (nine a.c1))
+
 let conj a = make a.c0 (Fq.neg a.c1)
+
+(* x ↦ x^q is conjugation, so x^(q^k) is conjugation for odd k only. *)
+let frobenius_map k a = if k land 1 = 1 then conj a else a
 
 let inv a =
   (* 1/(a0+a1u) = (a0 - a1 u)/(a0² + a1²) *)
@@ -74,6 +82,21 @@ let sqrt a =
     in
     if equal (sqr candidate) a then Some candidate else None
   end
+
+(* ξ^((q^k − 1)/d) for k = 0..11. Only k = 1 is a big-integer power;
+   the rest follow from (q^k − 1)/d = q·(q^(k−1) − 1)/d + (q − 1)/d, so
+   γ_k = γ_(k−1)^q · γ_1 = conj γ_(k−1) · γ_1. *)
+let frobenius_coeffs d =
+  let qm1, rem = Bigint.divmod (Bigint.sub Fq.modulus Bigint.one) (Bigint.of_int d) in
+  if not (Bigint.is_zero rem) then invalid_arg "Fq2.frobenius_coeffs: d ∤ q − 1";
+  let g1 = pow xi qm1 in
+  (* γ_1^d = ξ^(q−1) = conj ξ / ξ *)
+  assert (equal (pow g1 (Bigint.of_int d)) (div (conj xi) xi));
+  let tbl = Array.make 12 one in
+  for k = 1 to 11 do
+    tbl.(k) <- mul (conj tbl.(k - 1)) g1
+  done;
+  tbl
 
 let random st = make (Fq.random st) (Fq.random st)
 

@@ -30,8 +30,19 @@ val inv : t -> t
 val div : t -> t -> t
 val pow : t -> Zkvc_num.Bigint.t -> t
 
+(** Multiplication by ξ = 9 + u using additions only. *)
+val mul_by_xi : t -> t
+
 (** Conjugate [c0 - c1 u]. *)
 val conj : t -> t
+
+(** [frobenius_map k x = x^(q^k)]. *)
+val frobenius_map : int -> t -> t
+
+(** [frobenius_coeffs d] is [[| ξ^((q^k − 1)/d) | k = 0..11 |]] for a
+    divisor [d] of [q − 1], derived at call time from {!Zkvc_num.Bigint}:
+    the Frobenius constants of the tower above Fq2 and of the twist. *)
+val frobenius_coeffs : int -> t array
 
 (** Square root when it exists (q ≡ 3 mod 4 variant of the complex method);
     used to derive G2 points without relying on hard-coded constants. *)

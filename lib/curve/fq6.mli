@@ -21,6 +21,15 @@ val mul_by_fq2 : Fq2.t -> t -> t
 (** Multiplication by the tower generator: [(c0,c1,c2)·v = (ξc2, c0, c1)]. *)
 val mul_by_v : t -> t
 
+(** [mul_by_01 a b0 b1 = a · (b0 + b1·v)]: the sparse product used by
+    the Miller-loop line multiplication. *)
+val mul_by_01 : t -> Fq2.t -> Fq2.t -> t
+
 val inv : t -> t
+
+(** [frobenius_map k x = x^(q^k)] for [k ≥ 0], with constants
+    [ξ^((q^k − 1)/3)] from {!Fq2.frobenius_coeffs}. *)
+val frobenius_map : int -> t -> t
+
 val random : Random.State.t -> t
 val pp : Format.formatter -> t -> unit

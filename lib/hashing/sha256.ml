@@ -20,20 +20,22 @@ type ctx =
   { h : int array; (* 8 state words *)
     buf : Bytes.t; (* 64-byte block buffer *)
     mutable buf_len : int;
-    mutable total : int (* total bytes fed *) }
+    mutable total : int; (* total bytes fed *)
+    w : int array (* 64-word message schedule, scratch of [compress] *) }
 
 let init () =
   { h = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
            0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
     buf = Bytes.create 64;
     buf_len = 0;
-    total = 0 }
+    total = 0;
+    w = Array.make 64 0 }
 
 let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
 
-let w = Array.make 64 0
-
-let compress h block off =
+(* The schedule [w] belongs to the context, so contexts in different
+   threads or domains never share scratch state. *)
+let compress { h; w; _ } block off =
   for t = 0 to 15 do
     w.(t) <-
       (Char.code (Bytes.get block (off + (4 * t))) lsl 24)
@@ -81,12 +83,12 @@ let update ctx data =
     ctx.buf_len <- ctx.buf_len + take;
     pos := take;
     if ctx.buf_len = 64 then begin
-      compress ctx.h ctx.buf 0;
+      compress ctx ctx.buf 0;
       ctx.buf_len <- 0
     end
   end;
   while len - !pos >= 64 do
-    compress ctx.h data !pos;
+    compress ctx data !pos;
     pos := !pos + 64
   done;
   if !pos < len then begin

@@ -12,6 +12,14 @@ module Params = Zkvc_curve.Bn_params
 let st = Random.State.make [| 2024; 7 |]
 let check_bool = Alcotest.(check bool)
 
+(* Easy part of the final exponentiation, f^((q⁶−1)(q²+1)): maps any
+   non-zero f into the cyclotomic subgroup. *)
+let to_cyclotomic f =
+  let f1 = Fq12.mul (Fq12.conj f) (Fq12.inv f) in
+  Fq12.mul (Fq12.frobenius_map 2 f1) f1
+
+let fq12_of_fq6 a = Fq12.make a Fq6.zero
+
 (* ---------------- extension tower ---------------- *)
 
 let tower_tests =
@@ -78,7 +86,41 @@ let tower_tests =
         let a = Fq12.random st in
         let e1 = B.of_int 12345 and e2 = B.of_int 678 in
         check_bool "a^(e1+e2)" true
-          (Fq12.equal (Fq12.pow a (B.add e1 e2)) (Fq12.mul (Fq12.pow a e1) (Fq12.pow a e2)))) ]
+          (Fq12.equal (Fq12.pow a (B.add e1 e2)) (Fq12.mul (Fq12.pow a e1) (Fq12.pow a e2))));
+    t "frobenius_map k = pow q^k" (fun () ->
+        List.iter
+          (fun k ->
+            let qk = B.pow Params.q k in
+            let a2 = Fq2.random st and a6 = Fq6.random st and a12 = Fq12.random st in
+            check_bool (Printf.sprintf "fq2 k=%d" k) true
+              (Fq2.equal (Fq2.frobenius_map k a2) (Fq2.pow a2 qk));
+            (* Fq6 has no pow: compare inside Fq12, where it embeds as c0 *)
+            check_bool (Printf.sprintf "fq6 k=%d" k) true
+              (Fq12.equal (fq12_of_fq6 (Fq6.frobenius_map k a6)) (Fq12.pow (fq12_of_fq6 a6) qk));
+            check_bool (Printf.sprintf "fq12 k=%d" k) true
+              (Fq12.equal (Fq12.frobenius_map k a12) (Fq12.pow a12 qk)))
+          [ 1; 2; 3; 6 ]);
+    t "cyclotomic squaring = sqr on the cyclotomic subgroup" (fun () ->
+        for _ = 1 to 10 do
+          let g = to_cyclotomic (Fq12.random st) in
+          check_bool "csqr" true (Fq12.equal (Fq12.cyclotomic_sqr g) (Fq12.sqr g))
+        done);
+    t "sparse line product = dense mul" (fun () ->
+        for _ = 1 to 20 do
+          let f = Fq12.random st in
+          let l0 = Fq2.random st and l3 = Fq2.random st and l4 = Fq2.random st in
+          let dense =
+            Fq12.make (Fq6.make l0 Fq2.zero Fq2.zero) (Fq6.make l3 l4 Fq2.zero)
+          in
+          check_bool "mul_by_034" true
+            (Fq12.equal (Fq12.mul_by_034 f l0 l3 l4) (Fq12.mul f dense))
+        done);
+    t "exp by u = pow u on the cyclotomic subgroup" (fun () ->
+        for _ = 1 to 3 do
+          let g = to_cyclotomic (Fq12.random st) in
+          check_bool "g^u" true
+            (Fq12.equal (Fq12.cyclotomic_exp_by_x g) (Fq12.pow g Params.x))
+        done) ]
 
 (* ---------------- groups ---------------- *)
 
@@ -188,7 +230,59 @@ let pairing_tests =
     Alcotest.test_case "multi-pairing cancellation" `Quick (fun () ->
         let p = G1.random st and q = G2.random st in
         let prod = Pairing.multi_pairing [ (p, q); (G1.neg p, q) ] in
-        check_bool "e(P,Q)·e(-P,Q) = 1" true (Fq12.is_one prod)) ]
+        check_bool "e(P,Q)·e(-P,Q) = 1" true (Fq12.is_one prod));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:8 ~name:"e(aP, bQ) = e(P, Q)^(ab)"
+         QCheck.(pair int int)
+         (fun (sa, sb) ->
+           let rs = Random.State.make [| sa; sb |] in
+           let p = G1.random rs and q = G2.random rs in
+           let a = Fr.random rs and b = Fr.random rs in
+           Fq12.equal
+             (e (G1.mul_fr p a) (G2.mul_fr q b))
+             (Fq12.pow (e p q) (Fr.to_bigint (Fr.mul a b)))));
+    Alcotest.test_case "multi-pairing = product of pairings" `Quick (fun () ->
+        let p1 = G1.random st and p2 = G1.random st and q1 = G2.random st
+        and q2 = G2.random st in
+        List.iter
+          (fun pairs ->
+            let expect =
+              List.fold_left (fun acc (p, q) -> Fq12.mul acc (e p q)) Fq12.one pairs
+            in
+            check_bool
+              (Printf.sprintf "%d pairs" (List.length pairs))
+              true
+              (Fq12.equal (Pairing.multi_pairing pairs) expect))
+          [ [];
+            [ (p1, q1) ];
+            [ (p1, q1); (p2, q2); (G1.neg p2, q1) ];
+            [ (G1.zero, q1); (p1, q2); (p2, G2.zero) ];
+            [ (G1.zero, G2.zero) ] ]);
+    Alcotest.test_case "e(P,Q)^r = 1 and e(P,Q) ≠ 1 for random P, Q" `Quick (fun () ->
+        for _ = 1 to 3 do
+          let g = e (G1.random st) (G2.random st) in
+          check_bool "≠ 1" false (Fq12.is_one g);
+          check_bool "^r = 1" true (Fq12.is_one (Fq12.pow g Params.r))
+        done);
+    Alcotest.test_case "final exponentiation = f^(m(q¹²−1)/r)" `Quick (fun () ->
+        (* the hard part raises to λ = m·(q⁴−q²+1)/r; recompute λ from its
+           polynomials in u and q and compare against a plain pow *)
+        let u = Params.x and q = Params.q in
+        let horner x cs = List.fold_left (fun acc c -> B.add (B.mul acc x) c) B.zero cs in
+        let pu cs = horner u (List.map B.of_int cs) in
+        let lambda =
+          horner q [ pu [ 12; 6; 4; -1 ]; pu [ 12; 6; 6; 0 ]; pu [ 12; 6; 4; 0 ]; pu [ 12; 12; 6; 1 ] ]
+        in
+        let easy = B.mul (B.sub (B.pow q 6) B.one) (B.add (B.pow q 2) B.one) in
+        let f = Fq12.random st in
+        check_bool "f^(easy·λ)" true
+          (Fq12.equal (Pairing.final_exponentiation f) (Fq12.pow f (B.mul easy lambda))));
+    Alcotest.test_case "GT pin: sha256(e(G1, G2))" `Quick (fun () ->
+        (* any kernel edit that changes GT values must update this pin *)
+        Alcotest.(check string)
+          "digest" "417d64657a7980c051d27607bd5d39c32568f0069ec56816fa0afbb47cd9ae3e"
+          (Zkvc_hash.Sha256.to_hex
+             (Zkvc_hash.Sha256.digest (Fq12.to_bytes (e G1.generator G2.generator))))) ]
 
 let () =
   Alcotest.run "zkvc_curve"

@@ -44,6 +44,26 @@ let prop_incremental =
       Sha256.update_string ctx b;
       Bytes.equal (Sha256.finalize ctx) (Sha256.digest_string (a ^ b)))
 
+(* Regression: the message schedule used to be one module-level array, so
+   two domains hashing at once corrupted each other's digests. *)
+let test_domains_hash_independently () =
+  let n = 10_000 in
+  (* 100-byte inputs span two compression blocks each *)
+  let input d i = Printf.sprintf "domain-%d-input-%06d-%s" d i (String.make 70 (Char.chr (97 + d))) in
+  let expected = Array.init 2 (fun d -> Array.init n (fun i -> Sha256.digest_string (input d i))) in
+  let worker d () =
+    let bad = ref 0 in
+    for i = 0 to n - 1 do
+      if not (Bytes.equal (Sha256.digest_string (input d i)) expected.(d).(i)) then incr bad
+    done;
+    !bad
+  in
+  let domains = List.init 2 (fun d -> Domain.spawn (worker d)) in
+  List.iteri
+    (fun d dom ->
+      Alcotest.(check int) (Printf.sprintf "domain %d corrupted digests" d) 0 (Domain.join dom))
+    domains
+
 let leaves n = List.init n (fun i -> Bytes.of_string (Printf.sprintf "leaf-%d" i))
 
 let test_merkle_roundtrip () =
@@ -126,7 +146,9 @@ let () =
     [ ( "sha256",
         [ Alcotest.test_case "NIST vectors" `Quick test_vectors;
           Alcotest.test_case "incremental" `Quick test_incremental_matches_oneshot;
-          QCheck_alcotest.to_alcotest prop_incremental ] );
+          QCheck_alcotest.to_alcotest prop_incremental;
+          Alcotest.test_case "two domains hash concurrently" `Quick
+            test_domains_hash_independently ] );
       ( "merkle",
         [ Alcotest.test_case "roundtrip" `Quick test_merkle_roundtrip;
           Alcotest.test_case "tamper rejected" `Quick test_merkle_rejects_tamper;

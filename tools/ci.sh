@@ -17,8 +17,20 @@ NPROC=$(nproc 2>/dev/null || echo 1)
 echo "== dune build =="
 dune build
 
-echo "== dune runtest (jobs=1) =="
-ZKVC_JOBS=1 dune runtest --force
+echo "== tier-1 suites (jobs=1), wall seconds per suite =="
+# the same executables dune runtest runs, from the same directory, one at
+# a time so each suite's wall time lands in the log
+now() { date +%s.%N; }
+for exe in _build/default/test/test_*.exe; do
+    name=$(basename "$exe" .exe)
+    t0=$(now)
+    if ! (cd _build/default/test && ZKVC_JOBS=1 "./$name.exe" >"/tmp/ci-$name.log" 2>&1); then
+        cat "/tmp/ci-$name.log" >&2
+        echo "ci: $name failed" >&2
+        exit 1
+    fi
+    awk -v a="$t0" -v b="$(now)" -v n="$name" 'BEGIN { printf "ci: suite %-18s %8.1f s\n", n, b - a }'
+done
 
 echo "== dune runtest (jobs=max, nproc=$NPROC) =="
 ZKVC_JOBS=0 dune runtest --force
